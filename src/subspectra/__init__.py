@@ -20,6 +20,7 @@ from .errors import (
     ResourceLimitError,
     SelfLoopError,
     SingularMatrixError,
+    SpectrumStructureError,
     SubspectraError,
 )
 from .graph import (
@@ -84,6 +85,7 @@ __all__ = [
     "ResourceLimitError",
     "SelfLoopError",
     "SingularMatrixError",
+    "SpectrumStructureError",
     "SubspectraError",
     "DEFAULT_VERTEX_CAP",
     "DEFAULT_ORACLE_CAP",

@@ -212,7 +212,8 @@ def _cmd_subdivide(graph: Graph, config: RunConfig) -> None:
 def _cmd_verify(graph: Graph, config: RunConfig) -> int:
     checks: list[dict] = []
     meta = analyze(graph)
-    spectrum = base_spectrum(graph, config.oracle_cap)
+    base = base_spectrum(graph, config.oracle_cap)
+    spectrum = base
     level_graph: Graph | None = graph
     for level in range(config.n + 1):
         if level > 0:
@@ -244,7 +245,7 @@ def _cmd_verify(graph: Graph, config: RunConfig) -> int:
 
     if config.monte_carlo:
         estimate = kemeny_montecarlo(graph, steps=config.mc_steps, seed=config.seed)
-        expected = kemeny_spectral(base_spectrum(graph, config.oracle_cap))
+        expected = kemeny_spectral(base)
         gap = abs(estimate.mean - expected)
         ok = gap <= MC_SIGMA * estimate.std_error
         checks.append({

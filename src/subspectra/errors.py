@@ -43,6 +43,10 @@ class NegativeMultiplicityError(SubspectraError):
     """An eigenvalue multiplicity came out negative."""
 
 
+class SpectrumStructureError(SubspectraError):
+    """A computed spectrum lacks a feature every connected graph's spectrum has."""
+
+
 class CountMismatchError(SubspectraError):
     """Two spectra that should have the same size do not."""
 

@@ -125,14 +125,17 @@ def jacobi_eigenvalues(
 def solve_linear(m: SymMatrix, rhs: Sequence[float] | np.ndarray) -> np.ndarray:
     """Solve m x = rhs by Gaussian elimination with partial pivoting.
 
-    Raises SingularMatrixError when the largest available pivot falls below
-    1e-13 in magnitude.
+    rhs is a vector of length n or a matrix of shape (n, k); a matrix is
+    carried through one elimination and every column is solved at once, so
+    solve_linear(m, np.eye(n)) is the inverse in O(n^3) time.  The result
+    has the shape of rhs.  Raises SingularMatrixError when the largest
+    available pivot falls below 1e-13 in magnitude.
     """
     n = m.order
     a = m.entries.astype(float)  # entries are read-only, astype copies
     b = np.array(rhs, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}, got shape {b.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side must have {n} rows, got shape {b.shape}")
     for k in range(n):
         pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
         pivot = a[pivot_row, k]
@@ -145,11 +148,10 @@ def solve_linear(m: SymMatrix, rhs: Sequence[float] | np.ndarray) -> np.ndarray:
             b[[k, pivot_row]] = b[[pivot_row, k]]
         factors = a[k + 1 :, k] / pivot
         a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
+        b[k + 1 :] -= np.multiply.outer(factors, b[k])
+    for k in range(n - 1, -1, -1):  # back-substitute in place: b[k + 1 :] already holds x
+        b[k] = (b[k] - a[k, k + 1 :] @ b[k + 1 :]) / a[k, k]
+    return b
 
 
 def bareiss_determinant(matrix: Iterable[Iterable[int]]) -> int:

@@ -7,8 +7,8 @@ of the quadratic map x -> 4x - 2x^2, and the eigenvalue 1 is inserted with a
 multiplicity fixed by the circuit rank.  Because the step is exact, each
 eigenvalue is represented symbolically as a numeric base value plus the chain
 of branch choices applied to it, with the constants 0, 1 and 2 tracked
-exactly: float error enters only through the level-0 eigensolve and does not
-grow with the level.
+exactly.  Float error enters through the level-0 eigensolve and a few
+roundings per level; both branches are evaluated without cancellation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CountMismatchError, NegativeMultiplicityError, ResourceLimitError
+from .errors import (
+    CountMismatchError,
+    NegativeMultiplicityError,
+    ResourceLimitError,
+    SpectrumStructureError,
+)
 from .graph import DEFAULT_VERTEX_CAP, Graph, GraphMeta, analyze
 from .linalg import DEFAULT_ORACLE_CAP, EigenResult, jacobi_eigenvalues, normalized_laplacian
 
@@ -39,8 +44,13 @@ def child_upper(x: float) -> float:
 
 
 def child_lower(x: float) -> float:
-    """Preimage of x under :func:`parent_value` lying in [0, 1]."""
-    return 1.0 - math.sqrt(1.0 - 0.5 * x)
+    """Preimage of x under :func:`parent_value` lying in [0, 1].
+
+    Evaluated as (x/2) / (1 + sqrt(1 - x/2)), which equals 1 - sqrt(1 - x/2)
+    without its cancellation: small eigenvalues keep full relative accuracy,
+    and those dominate the reciprocal sums behind Kemeny and Kirchhoff.
+    """
+    return 0.5 * x / (1.0 + math.sqrt(1.0 - 0.5 * x))
 
 
 @dataclass(frozen=True)
@@ -195,8 +205,17 @@ def base_spectrum(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Spectrum:
             value = SpectralValue.from_base(mean)
         pairs.append((value, mult))
     spectrum = Spectrum.build(0, pairs)
-    assert spectrum.zero_mult == 1, "connected graph must have a simple zero eigenvalue"
-    assert spectrum.two_mult == (1 if meta.is_bipartite else 0)
+    if spectrum.zero_mult != 1:
+        raise SpectrumStructureError(
+            f"eigenvalue 0 has multiplicity {spectrum.zero_mult}; "
+            "a connected graph has exactly one"
+        )
+    expected_two = 1 if meta.is_bipartite else 0
+    if spectrum.two_mult != expected_two:
+        raise SpectrumStructureError(
+            f"eigenvalue 2 has multiplicity {spectrum.two_mult}, expected {expected_two} "
+            f"(bipartite: {meta.is_bipartite})"
+        )
     return spectrum
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,32 @@ from subspectra.spectrum import SpectralValue, Spectrum, base_spectrum, spectrum
 
 CORPUS = small_corpus()
 CORPUS_IDS = [name for name, _ in CORPUS]
+
+
+def _pinv_kirchhoff(g) -> float:
+    """Reference oracle: sum over pairs i < j of d_i d_j R_ij, from the pseudoinverse.
+
+    R_ij = P_ii + P_jj - 2 P_ij with P the Moore-Penrose pseudoinverse of
+    the combinatorial Laplacian; shares no code with the package's solver.
+    """
+    n = g.vertex_count
+    lap = np.zeros((n, n))
+    for u, v in g.edges:
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+        lap[u, v] -= 1.0
+        lap[v, u] -= 1.0
+    pinv = np.linalg.pinv(lap)
+    diag = np.diag(pinv)
+    resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
+    degrees = np.array(g.degrees, dtype=float)
+    i, j = np.triu_indices(n, 1)
+    return float(np.sum(degrees[i] * degrees[j] * resistance[i, j]))
+
+
+def _k4_kemeny_exact(n: int) -> Fraction:
+    """Kemeny constant of s^n(K4): 4^n * 9/4 + (4^n - 1)/3 * (3 - 1/2), exactly."""
+    return 4**n * Fraction(9, 4) + Fraction(4**n - 1, 3) * Fraction(5, 2)
 
 
 class TestKirchhoffSpectral:
@@ -95,6 +122,13 @@ class TestKemeny:
 
     def test_closed_form_identity(self):
         assert kemeny_closed_form(0.77, 5, 0) == 0.77
+
+    def test_spectral_k4_level_16_matches_exact_closed_form(self):
+        # the lower branch at small eigenvalues must not lose digits to
+        # cancellation; the deviation would then grow with the level
+        spectral = kemeny_spectral(spectrum_at(complete_graph(4), 16))
+        exact = _k4_kemeny_exact(16)
+        assert float(abs(Fraction(spectral) - exact) / exact) <= 1e-11
 
     def test_closed_form_p5_matches_spectral_sum(self):
         # s^2 of a single edge is the 5-vertex path
@@ -163,6 +197,22 @@ class TestKirchhoffOracle:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             kirchhoff_oracle(complete_graph(5), oracle_cap=4)
+
+
+class TestKirchhoffOracleAgainstPseudoinverse:
+    @pytest.mark.parametrize("name,g", CORPUS, ids=CORPUS_IDS)
+    def test_small_corpus(self, name, g):
+        for n in range(3):
+            lifted = iterate_subdivide(g, n)
+            assert kirchhoff_oracle(lifted) == pytest.approx(_pinv_kirchhoff(lifted), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_subdivided_k4(self, n):
+        lifted = iterate_subdivide(complete_graph(4), n)
+        oracle = kirchhoff_oracle(lifted)
+        assert oracle == pytest.approx(_pinv_kirchhoff(lifted), rel=1e-10)
+        exact = 2 * lifted.edge_count * _k4_kemeny_exact(n)
+        assert oracle == pytest.approx(float(exact), rel=1e-10)
 
 
 class TestKemenyMonteCarlo:

@@ -153,6 +153,36 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             solve_linear(SymMatrix.from_dense(np.eye(3)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("order,columns", [(1, 3), (6, 1), (12, 12), (30, 7)])
+    def test_matrix_rhs_matches_column_solves(self, order, columns):
+        rng = np.random.default_rng(1000 * order + columns)
+        raw = rng.standard_normal((order, order))
+        m = SymMatrix.from_dense((raw + raw.T) / 2.0 + order * np.eye(order))
+        rhs = rng.standard_normal((order, columns))
+        x = solve_linear(m, rhs)
+        assert x.shape == (order, columns)
+        by_column = np.column_stack([solve_linear(m, rhs[:, j]) for j in range(columns)])
+        assert np.max(np.abs(x - by_column)) <= 1e-13 * np.max(np.abs(by_column))
+        residual = np.max(np.abs(m.entries @ x - rhs))
+        assert residual <= 1e-9 * np.max(np.abs(rhs))
+
+    def test_identity_rhs_gives_the_inverse(self):
+        # grounded Laplacian of the 4-cycle, from test_c4_effective_resistance
+        reduced = SymMatrix.from_dense([[2.0, -1.0, -1.0], [-1.0, 2.0, 0.0], [-1.0, 0.0, 2.0]])
+        inverse = solve_linear(reduced, np.eye(3))
+        assert np.allclose(reduced.entries @ inverse, np.eye(3), atol=1e-14)
+        assert inverse[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 1), (3, 2, 1), ()])
+    def test_wrong_matrix_rhs_shape(self, shape):
+        with pytest.raises(ValueError):
+            solve_linear(SymMatrix.from_dense(np.eye(3)), np.ones(shape))
+
+    def test_singular_with_matrix_rhs(self):
+        m = SymMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, np.eye(2))
+
 
 class TestBareissDeterminant:
     def test_one_by_one(self):

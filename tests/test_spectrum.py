@@ -21,8 +21,10 @@ from subspectra.errors import (
     CountMismatchError,
     NegativeMultiplicityError,
     ResourceLimitError,
+    SpectrumStructureError,
+    SubspectraError,
 )
-from subspectra.graph import GraphMeta, analyze, iterate_subdivide
+from subspectra.graph import Graph, GraphMeta, analyze, iterate_subdivide
 from subspectra.linalg import SymMatrix, jacobi_eigenvalues, normalized_laplacian
 from subspectra.spectrum import (
     SpectralValue,
@@ -109,6 +111,16 @@ class TestBaseSpectrum:
 
     def test_nonbipartite_has_no_exact_two(self):
         assert base_spectrum(complete_graph(4)).two_mult == 0
+
+    def test_disconnected_raw_graph_is_a_typed_error(self):
+        # two disjoint triangles through the unvalidated constructor:
+        # the eigenvalue 0 comes out twice
+        edges = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
+        adjacency = ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4))
+        g = Graph(6, edges, adjacency, (2,) * 6)
+        with pytest.raises(SpectrumStructureError, match="multiplicity 2"):
+            base_spectrum(g)
+        assert issubclass(SpectrumStructureError, SubspectraError)
 
     def test_oracle_cap(self):
         with pytest.raises(ResourceLimitError):
