@@ -25,9 +25,9 @@ print(f"seed: K4 (circuit rank {meta.circuit_rank}, odd cycle: {meta.has_odd_cyc
 print()
 print("== level 0: eigensolver output, clustered ==")
 spec = base_spectrum(k4)
-for value, mult in spec.entries:
-    tag = f"exact {value.exact}" if value.exact is not None else "numeric"
-    print(f"  value {value.cached_value:.12f}  multiplicity {mult}  ({tag})")
+for value, mult, exact in spec.entries[["value", "multiplicity", "exact"]].tolist():
+    tag = f"exact {exact}" if exact >= 0 else "numeric"
+    print(f"  value {value:.12f}  multiplicity {mult}  ({tag})")
 
 print()
 print("== levels 1..3: the recursion vs the dense solver ==")
@@ -44,7 +44,8 @@ for n in (1, 2, 3):
 
 print()
 print("== the level-2 multiset, with branch paths ==")
-for value, mult in spectrum_at(k4, 2).entries:
-    path = value.transform_path or "-"
-    print(f"  {value.cached_value:.12f}  x{mult}  base {value.base_value:.6f}  path {path}")
+level_two = spectrum_at(k4, 2)
+rows = level_two.entries[["value", "multiplicity", "base"]].tolist()
+for (value, mult, base), path in zip(rows, level_two.paths()):
+    print(f"  {value:.12f}  x{mult}  base {base:.6f}  path {path or '-'}")
 print("paths record the branch choices (1 = upper, 2 = lower), oldest first")

@@ -58,7 +58,6 @@ from .linalg import (
     solve_linear,
 )
 from .spectrum import (
-    SpectralValue,
     Spectrum,
     SpectrumMatchReport,
     base_spectrum,
@@ -115,7 +114,6 @@ __all__ = [
     "jacobi_eigenvalues",
     "normalized_laplacian",
     "solve_linear",
-    "SpectralValue",
     "Spectrum",
     "SpectrumMatchReport",
     "base_spectrum",

@@ -151,10 +151,10 @@ def _fmt(value: float) -> str:
 def _cmd_spectrum(graph: Graph, config: RunConfig) -> None:
     spec = spectrum_at(graph, config.n, oracle_cap=config.oracle_cap,
                        entry_cap=config.vertex_cap)
-    records = spec.to_records()
     if config.output_format == "json":
-        print(json.dumps(records))
+        print(spec.to_json())
         return
+    records = spec.to_records()
     rows = [[_fmt(rec["value"]) if isinstance(rec["value"], float) else str(rec["value"]),
              str(rec["multiplicity"]), rec["path"] or "-", _fmt(rec["base"])]
             for rec in records]

@@ -98,9 +98,7 @@ def spanning_trees_spectral(spec: Spectrum, degrees: Iterable[int]) -> float:
     """
     degree_list = list(degrees)
     log_result = math.fsum(math.log(d) for d in degree_list)
-    log_result += math.fsum(
-        m * math.log(v.cached_value) for v, m in spec.entries if v.exact != 0
-    )
+    log_result += spec.log_sum()
     log_result -= math.log(sum(degree_list))
     try:
         return math.exp(log_result)

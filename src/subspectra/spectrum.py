@@ -7,8 +7,10 @@ of the quadratic map x -> 4x - 2x^2, and the eigenvalue 1 is inserted with a
 multiplicity fixed by the circuit rank.  Because the step is exact, each
 eigenvalue is represented symbolically as a numeric base value plus the chain
 of branch choices applied to it, with the constants 0, 1 and 2 tracked
-exactly.  Float error enters through the level-0 eigensolve and a few
-roundings per level; both branches are evaluated without cancellation.
+exactly.  The multiset is one structured numpy array with a row per distinct
+eigenvalue, so a step is a handful of vectorized operations.  Float error
+enters through the level-0 eigensolve and a few roundings per level; both
+branches are evaluated without cancellation.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     CountMismatchError,
@@ -27,10 +31,15 @@ from .errors import (
 from .graph import DEFAULT_VERTEX_CAP, Graph, GraphMeta, analyze
 from .linalg import DEFAULT_ORACLE_CAP, EigenResult, jacobi_eigenvalues, normalized_laplacian
 
-UPPER = "1"  # branch into [1, 2]
-LOWER = "2"  # branch into [0, 1]
-
 CLUSTER_TOL = 1e-8
+MAX_LEVEL = 63  # a path of branch choices must fit in one uint64
+
+# One row per distinct eigenvalue.  path holds the branch choices as the low
+# path_len bits, oldest in the most significant of them (0 = upper branch into
+# [1, 2], 1 = lower branch into [0, 1]); exact is 0, 1 or 2 when the value is
+# that constant (with an empty path), else -1.
+ENTRY = np.dtype([("value", "f8"), ("multiplicity", "i8"), ("base", "f8"),
+                  ("path", "u8"), ("path_len", "u1"), ("exact", "i1")])
 
 
 def parent_value(x: float) -> float:
@@ -38,129 +47,115 @@ def parent_value(x: float) -> float:
     return 4.0 * x - 2.0 * x * x
 
 
-def child_upper(x: float) -> float:
-    """Preimage of x under :func:`parent_value` lying in [1, 2]."""
-    return 1.0 + math.sqrt(1.0 - 0.5 * x)
+def child_upper(x):
+    """Preimage of x under :func:`parent_value` lying in [1, 2] (x may be an array)."""
+    return 1.0 + np.sqrt(1.0 - 0.5 * x)
 
 
-def child_lower(x: float) -> float:
-    """Preimage of x under :func:`parent_value` lying in [0, 1].
+def child_lower(x):
+    """Preimage of x under :func:`parent_value` lying in [0, 1] (x may be an array).
 
     Evaluated as (x/2) / (1 + sqrt(1 - x/2)), which equals 1 - sqrt(1 - x/2)
     without its cancellation: small eigenvalues keep full relative accuracy,
     and those dominate the reciprocal sums behind Kemeny and Kirchhoff.
     """
-    return 0.5 * x / (1.0 + math.sqrt(1.0 - 0.5 * x))
+    return 0.5 * x / child_upper(x)
 
 
-@dataclass(frozen=True)
-class SpectralValue:
-    """One eigenvalue: a base value plus the branch labels applied to it.
-
-    transform_path is a string over {"1", "2"} (upper/lower branch), oldest
-    transform first.  exact is 0, 1 or 2 when the value is that constant;
-    exact values carry an empty path and drive the exact bookkeeping (the
-    dropped 2, the inserted 1s, the invariant single 0).
-    """
-
-    base_value: float
-    transform_path: str
-    cached_value: float
-    exact: int | None = None
-
-    @classmethod
-    def constant(cls, k: int) -> SpectralValue:
-        if k not in (0, 1, 2):
-            raise ValueError(f"exact constants are 0, 1 and 2, not {k}")
-        return cls(float(k), "", float(k), k)
-
-    @classmethod
-    def from_base(cls, x: float) -> SpectralValue:
-        return cls(float(x), "", float(x), None)
-
-    def children(self) -> tuple[SpectralValue, SpectralValue]:
-        """The two values this one contributes at the next level.
-
-        The exact 0 produces the exact constants 2 and 0; the exact 2 is
-        dropped by :func:`step` before lifting and is never a valid input.
-        """
-        if self.exact == 0:
-            return SpectralValue.constant(2), SpectralValue.constant(0)
-        if self.exact == 2:
-            raise ValueError("the eigenvalue 2 is dropped, never lifted")
-        upper = SpectralValue(
-            self.base_value, self.transform_path + UPPER, child_upper(self.cached_value)
-        )
-        lower = SpectralValue(
-            self.base_value, self.transform_path + LOWER, child_lower(self.cached_value)
-        )
-        return upper, lower
-
-    def refold(self) -> float:
-        """Recompute the value by folding the path over the base (validation aid)."""
-        x = self.base_value
-        for label in self.transform_path:
-            x = child_upper(x) if label == UPPER else child_lower(x)
-        return x
+def _left_aligned(path: np.ndarray, path_len: np.ndarray) -> np.ndarray:
+    """Path bits shifted so the oldest branch is bit 63: compares like the path strings."""
+    return path << ((64 - path_len.astype(np.uint64)) % 64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalue multiset of the normalized Laplacian at one subdivision level.
 
-    entries are (value, multiplicity) pairs sorted by value; multiplicities
-    are exact integers.  zero_mult, one_mult and two_mult count the exactly
-    tracked constants.  Instances are immutable and safe to share.
+    entries is a read-only ENTRY array sorted by value, ties by path string;
+    multiplicities are exact integers.  Instances are safe to share.
     """
 
     level: int
-    entries: tuple[tuple[SpectralValue, int], ...]
-    zero_mult: int
-    one_mult: int
-    two_mult: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        self.entries.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.level == other.level and np.array_equal(self.entries, other.entries)
 
     @classmethod
-    def build(cls, level: int, pairs: Iterable[tuple[SpectralValue, int]]) -> Spectrum:
-        ordered = tuple(
-            sorted(pairs, key=lambda entry: (entry[0].cached_value, entry[0].transform_path))
-        )
-        zero = sum(m for v, m in ordered if v.exact == 0)
-        one = sum(m for v, m in ordered if v.exact == 1)
-        two = sum(m for v, m in ordered if v.exact == 2)
-        return cls(level, ordered, zero, one, two)
+    def from_pairs(cls, level: int, pairs: Iterable[tuple[float, int]]) -> Spectrum:
+        """Spectrum of (value, multiplicity) pairs, ascending by value, with empty paths.
+
+        An int value is that exact constant (0, 1 or 2); a float is numeric.
+        """
+        rows = [(v, m, v, 0, 0, v if isinstance(v, int) else -1) for v, m in pairs]
+        if any(row[-1] not in (-1, 0, 1, 2) for row in rows):
+            raise ValueError("exact constants are 0, 1 and 2")
+        entries = np.array(rows, dtype=ENTRY)
+        if np.any(np.diff(entries["value"]) < 0):
+            raise ValueError("pairs must be ascending by value")
+        return cls(level, entries)
+
+    def _exact_mult(self, k: int) -> int:
+        return int(self.entries["multiplicity"][self.entries["exact"] == k].sum())
+
+    zero_mult = property(lambda self: self._exact_mult(0))
+    one_mult = property(lambda self: self._exact_mult(1))
+    two_mult = property(lambda self: self._exact_mult(2))
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
+        return int(self.entries["multiplicity"].sum())
+
+    @property
+    def values(self) -> np.ndarray:
+        """The distinct eigenvalues, ascending (read-only view)."""
+        return self.entries["value"]
 
     def trace(self) -> float:
-        return math.fsum(v.cached_value * m for v, m in self.entries)
+        return math.fsum((self.values * self.entries["multiplicity"]).tolist())
+
+    def _nonzero(self) -> tuple[list[float], list[int]]:
+        rest = self.entries[self.entries["exact"] != 0]
+        return rest["value"].tolist(), rest["multiplicity"].tolist()
 
     def reciprocal_sum(self) -> float:
         """Sum of multiplicity/value over all nonzero eigenvalues."""
-        return math.fsum(m / v.cached_value for v, m in self.entries if v.exact != 0)
+        return math.fsum(m / v for v, m in zip(*self._nonzero()))
 
-    def flat_values(self) -> list[float]:
+    def log_sum(self) -> float:
+        """Sum of multiplicity*log(value) over all nonzero eigenvalues."""
+        return math.fsum(m * math.log(v) for v, m in zip(*self._nonzero()))
+
+    def flat_values(self) -> np.ndarray:
         """Every eigenvalue repeated by multiplicity, ascending."""
-        out: list[float] = []
-        for v, m in self.entries:
-            out.extend([v.cached_value] * m)
-        return out
+        return np.repeat(self.values, self.entries["multiplicity"])
+
+    def paths(self) -> list[str]:
+        """Each entry's branch labels, "1" upper and "2" lower, oldest first."""
+        lengths = self.entries["path_len"]
+        width = max(int(lengths.max(initial=0)), 1)
+        left = _left_aligned(self.entries["path"], lengths)
+        chars = np.zeros((len(lengths), width), np.uint8)
+        for j in range(width):
+            bit = (left >> np.uint64(63 - j)) & np.uint64(1)
+            chars[:, j] = np.where(lengths > j, bit + ord("1"), 0)
+        return chars.view(f"S{width}")[:, 0].astype(str).tolist()
 
     def to_records(self, digits: int = 12) -> list[dict]:
         """JSON-ready records sorted by value; exact constants stay integers."""
-        records = []
-        for v, m in self.entries:
-            value = v.exact if v.exact is not None else significant(v.cached_value, digits)
-            records.append(
-                {
-                    "value": value,
-                    "multiplicity": m,
-                    "path": v.transform_path,
-                    "base": significant(v.base_value, digits),
-                }
-            )
-        return records
+        entries = self.entries
+        bases = entries["base"].tolist()
+        rounded = {b: significant(b, digits) for b in set(bases)}
+        values = [k if k >= 0 else significant(v, digits)
+                  for v, k in zip(entries["value"].tolist(), entries["exact"].tolist())]
+        mults = entries["multiplicity"].tolist()
+        return [{"value": v, "multiplicity": m, "path": p, "base": rounded[b]}
+                for v, m, p, b in zip(values, mults, self.paths(), bases)]
 
     def to_json(self, digits: int = 12) -> str:
         return json.dumps(self.to_records(digits))
@@ -173,14 +168,9 @@ def significant(value: float, digits: int = 12) -> float:
 
 def _cluster(values: Sequence[float], tol: float) -> list[tuple[float, int]]:
     """Group sorted values into (mean, count) clusters split at gaps above tol."""
-    groups: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            chunk = values[start:i]
-            groups.append((math.fsum(chunk) / len(chunk), len(chunk)))
-            start = i
-    return groups
+    values = np.asarray(values, dtype=float)
+    chunks = np.split(values, np.flatnonzero(np.diff(values) > tol) + 1)
+    return [(math.fsum(chunk) / len(chunk), len(chunk)) for chunk in chunks]
 
 
 def base_spectrum(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Spectrum:
@@ -195,16 +185,14 @@ def base_spectrum(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Spectrum:
         )
     meta = analyze(g)
     result = jacobi_eigenvalues(normalized_laplacian(g), order_cap=oracle_cap)
-    pairs: list[tuple[SpectralValue, int]] = []
+    pairs: list[tuple[float, int]] = []
     for mean, mult in _cluster(result.eigenvalues, CLUSTER_TOL):
         if abs(mean) <= CLUSTER_TOL:
-            value = SpectralValue.constant(0)
+            mean = 0
         elif meta.is_bipartite and abs(mean - 2.0) <= CLUSTER_TOL:
-            value = SpectralValue.constant(2)
-        else:
-            value = SpectralValue.from_base(mean)
-        pairs.append((value, mult))
-    spectrum = Spectrum.build(0, pairs)
+            mean = 2
+        pairs.append((mean, mult))
+    spectrum = Spectrum.from_pairs(0, pairs)
     if spectrum.zero_mult != 1:
         raise SpectrumStructureError(
             f"eigenvalue 0 has multiplicity {spectrum.zero_mult}; "
@@ -241,24 +229,38 @@ def step(prev: Spectrum, meta: GraphMeta) -> Spectrum:
 
     meta describes the level-0 seed graph the recursion started from (its
     circuit rank is shared by every level).  Drops one exact 2 if present,
-    lifts everything else through both branches, and inserts the exact 1s.
+    lifts everything else through both branches (the exact 0 into the exact
+    2 and 0), and inserts the exact 1s.
     """
     level = prev.level + 1
-    pairs: list[tuple[SpectralValue, int]] = []
-    dropped = False
-    for value, mult in prev.entries:
-        if value.exact == 2 and not dropped:
-            dropped = True
-            mult -= 1
-            if mult == 0:
-                continue
-        upper, lower = value.children()
-        pairs.append((upper, mult))
-        pairs.append((lower, mult))
+    if prev.two_mult > 1:
+        raise ValueError("one eigenvalue 2 is dropped; no other copy can be lifted")
+    exact = prev.entries["exact"]
+    zeros = prev.entries[exact == 0]
+    twos = zeros.copy()
+    twos["value"] = twos["base"] = 2.0
+    twos["exact"] = 2
+    upper = prev.entries[(exact == -1) | (exact == 1)]
+    lower = upper.copy()
+    upper["value"] = child_upper(lower["value"])
+    lower["value"] = 0.5 * lower["value"] / upper["value"]
+    upper["path"] <<= np.uint64(1)
+    lower["path"] = upper["path"] | np.uint64(1)
+    for child in (upper, lower):
+        child["path_len"] += 1
+        child["exact"] = -1
     inserted = exceptional_multiplicity(meta, level)
-    if inserted:
-        pairs.append((SpectralValue.constant(1), inserted))
-    return Spectrum.build(level, pairs)
+    ones = Spectrum.from_pairs(level, [(1, inserted)] if inserted else []).entries
+    # The branch maps are monotone, so with the upper children reversed the blocks
+    # are already in value order.  Rounding can merge two values; equal values are
+    # ordered by path as the strings compare, then by parent order.
+    children = np.concatenate([zeros, lower, ones, upper[::-1], twos])
+    values = children["value"]
+    if np.any(values[1:] <= values[:-1]):
+        children = np.concatenate([zeros, lower, ones, upper, twos])
+        path_key = _left_aligned(children["path"], children["path_len"])
+        children = children[np.lexsort((children["path_len"], path_key, children["value"]))]
+    return Spectrum(level, children)
 
 
 def spectrum_at(
@@ -271,10 +273,13 @@ def spectrum_at(
 
     Runs in time proportional to the number of distinct eigenvalues, so it
     reaches levels far beyond what dense diagonalization could touch; the
-    total multiplicity N + (2^n - 1)E must stay within entry_cap.
+    total multiplicity N + (2^n - 1)E must stay within entry_cap, and n
+    within MAX_LEVEL.
     """
     if n < 0:
         raise ValueError("subdivision level must be nonnegative")
+    if n > MAX_LEVEL:
+        raise ResourceLimitError(f"level {n} is above the deepest representable {MAX_LEVEL}")
     projected = g.vertex_count + (2**n - 1) * g.edge_count
     if projected > entry_cap:
         raise ResourceLimitError(
@@ -304,20 +309,15 @@ def compare(analytic: Spectrum, numeric: EigenResult, tol: float) -> SpectrumMat
     Raises CountMismatchError when the two sides disagree on the total count;
     otherwise reports the worst absolute deviation overall and per cluster.
     """
-    values = analytic.flat_values()
-    others = numeric.eigenvalues
-    if len(values) != len(others):
+    total = analytic.total_multiplicity
+    others = np.asarray(numeric.eigenvalues, dtype=float)
+    if total != len(others):
         raise CountMismatchError(
-            f"analytic spectrum has {len(values)} eigenvalues, numeric has {len(others)}"
+            f"analytic spectrum has {total} eigenvalues, numeric has {len(others)}"
         )
-    clusters: list[tuple[float, int, float]] = []
-    position = 0
-    worst = 0.0
-    for value, mult in analytic.entries:
-        local = max(
-            abs(value.cached_value - others[position + i]) for i in range(mult)
-        )
-        clusters.append((value.cached_value, mult, local))
-        worst = max(worst, local)
-        position += mult
-    return SpectrumMatchReport(len(values), worst, tol, worst <= tol, tuple(clusters))
+    mult = analytic.entries["multiplicity"]
+    deviation = np.abs(analytic.flat_values() - others)
+    local = np.maximum.reduceat(deviation, np.cumsum(mult) - mult)
+    worst = float(local.max())
+    clusters = tuple(zip(analytic.values.tolist(), mult.tolist(), local.tolist()))
+    return SpectrumMatchReport(total, worst, tol, worst <= tol, clusters)

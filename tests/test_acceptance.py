@@ -173,9 +173,11 @@ def test_criterion_6_structural_invariants_at_scale():
         "one two": spec.two_mult == 1,
         "runtime": elapsed < 5.0,
     }
+    values = spec.values.tolist()
+    mults = spec.entries["multiplicity"].tolist()
     symmetric = all(
-        m == mw and abs(v.cached_value + w.cached_value - 2.0) <= 1e-10
-        for (v, m), (w, mw) in zip(spec.entries, reversed(spec.entries))
+        m == mw and abs(v + w - 2.0) <= 1e-10
+        for v, m, w, mw in zip(values, mults, reversed(values), reversed(mults))
     )
     checks["symmetry"] = symmetric
     bad = [key for key, ok in checks.items() if not ok]

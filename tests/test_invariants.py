@@ -26,7 +26,7 @@ from subspectra.invariants import (
     spanning_trees_oracle,
     spanning_trees_spectral,
 )
-from subspectra.spectrum import SpectralValue, Spectrum, base_spectrum, spectrum_at
+from subspectra.spectrum import Spectrum, base_spectrum, spectrum_at
 
 CORPUS = small_corpus()
 CORPUS_IDS = [name for name, _ in CORPUS]
@@ -72,7 +72,7 @@ class TestKirchhoffSpectral:
         assert kirchhoff_spectral(spec, 12) == pytest.approx(276.0, rel=1e-9)
 
     def test_requires_single_zero(self):
-        broken = Spectrum.build(0, [(SpectralValue.from_base(0.5), 2)])
+        broken = Spectrum.from_pairs(0, [(0.5, 2)])
         with pytest.raises(ValueError):
             kirchhoff_spectral(broken, 1)
 
@@ -168,9 +168,7 @@ class TestSpanningTrees:
         assert spanning_trees_oracle(complete_graph(4)) == 16
 
     def test_overflow_policy(self):
-        huge = Spectrum.build(
-            0, [(SpectralValue.constant(0), 1), (SpectralValue.from_base(1.9), 4000)]
-        )
+        huge = Spectrum.from_pairs(0, [(0, 1), (1.9, 4000)])
         with pytest.raises(OverflowPolicyError):
             spanning_trees_spectral(huge, [2] * 2000)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     path_graph,
     random_connected_graph,
 )
+from subspectra import spectrum as spectrum_module
 from subspectra.errors import (
     CountMismatchError,
     NegativeMultiplicityError,
@@ -27,7 +29,7 @@ from subspectra.errors import (
 from subspectra.graph import Graph, GraphMeta, analyze, iterate_subdivide
 from subspectra.linalg import SymMatrix, jacobi_eigenvalues, normalized_laplacian
 from subspectra.spectrum import (
-    SpectralValue,
+    Spectrum,
     base_spectrum,
     child_lower,
     child_upper,
@@ -43,8 +45,31 @@ def dense_eigenvalues(g):
     return jacobi_eigenvalues(normalized_laplacian(g))
 
 
+def pairs(spec, field="value"):
+    """(field, multiplicity) per entry, in entry order."""
+    return list(zip(spec.entries[field].tolist(), spec.entries["multiplicity"].tolist()))
+
+
 def as_multiset(spec, digits=9):
-    return sorted((round(v.cached_value, digits), m) for v, m in spec.entries)
+    return sorted((round(v, digits), m) for v, m in pairs(spec))
+
+
+def fold(base, path):
+    """Apply the branch maps named by path to base, oldest first."""
+    x = base
+    for label in path:
+        x = child_upper(x) if label == "1" else child_lower(x)
+    return x
+
+
+def lineage(spec):
+    """Map (base, path) -> value; the pair names each entry's ancestry uniquely."""
+    entries = spec.entries
+    return dict(zip(zip(entries["base"].tolist(), spec.paths()), entries["value"].tolist()))
+
+
+# a seed with no cycle: exactly one 1 is inserted at every level
+TREE_META = GraphMeta(circuit_rank=0, has_odd_cycle=False, is_bipartite=True)
 
 
 class TestBranchMaps:
@@ -66,41 +91,52 @@ class TestBranchMaps:
 
 
 class TestSpectralValue:
+    """One eigenvalue is one row of Spectrum.entries."""
+
     def test_constants(self):
-        two = SpectralValue.constant(2)
-        assert (two.exact, two.cached_value, two.transform_path) == (2, 2.0, "")
+        two = Spectrum.from_pairs(0, [(2, 1)])
+        row = two.entries[0]
+        assert (row["exact"], row["value"], two.paths()[0]) == (2, 2.0, "")
 
     def test_invalid_constant(self):
         with pytest.raises(ValueError):
-            SpectralValue.constant(3)
+            Spectrum.from_pairs(0, [(3, 1)])
 
     def test_children_of_exact_zero_are_constants(self):
-        upper, lower = SpectralValue.constant(0).children()
-        assert (upper.exact, lower.exact) == (2, 0)
+        spec = step(Spectrum.from_pairs(0, [(0, 1)]), TREE_META)
+        assert pairs(spec, "exact") == [(0, 1), (1, 1), (2, 1)]
+        assert spec.entries["base"].tolist() == [0.0, 1.0, 2.0]
+        assert spec.paths() == ["", "", ""]
 
     def test_exact_two_cannot_be_lifted(self):
+        # one copy of 2 is dropped without children; a second cannot be lifted
+        spec = step(Spectrum.from_pairs(0, [(0, 1), (0.5, 1), (2, 1)]), TREE_META)
+        assert spec.two_mult == 1 and spec.total_multiplicity == 5
         with pytest.raises(ValueError):
-            SpectralValue.constant(2).children()
+            step(Spectrum.from_pairs(0, [(0, 1), (2, 2)]), TREE_META)
 
     def test_path_grows_and_cache_stays_consistent(self):
-        value = SpectralValue.from_base(4 / 3)
+        spec = Spectrum.from_pairs(0, [(4 / 3, 1)])
         for _ in range(6):
-            upper, lower = value.children()
-            assert upper.transform_path == value.transform_path + "1"
-            assert abs(upper.refold() - upper.cached_value) <= 1e-12
-            assert abs(lower.refold() - lower.cached_value) <= 1e-12
-            value = lower
+            parents = lineage(spec)
+            spec = step(spec, TREE_META)
+            children = lineage(spec)
+            for (base, path), value in parents.items():
+                assert children[(base, path + "1")] == child_upper(value)
+                assert children[(base, path + "2")] == child_lower(value)
+            for (base, path), value in children.items():
+                assert abs(fold(base, path) - value) <= 1e-12
 
 
 class TestBaseSpectrum:
     def test_k2(self):
         spec = base_spectrum(path_graph(2))
-        assert [(v.exact, m) for v, m in spec.entries] == [(0, 1), (2, 1)]
+        assert pairs(spec, "exact") == [(0, 1), (2, 1)]
 
     def test_k4(self):
         spec = base_spectrum(complete_graph(4))
         assert as_multiset(spec) == [(0.0, 1), (round(4 / 3, 9), 3)]
-        assert spec.entries[1][0].exact is None
+        assert spec.entries["exact"][1] == -1
 
     def test_c4(self):
         # circulant closed form: eigenvalues 0, 1, 1, 2
@@ -159,7 +195,7 @@ class TestExceptionalMultiplicity:
 class TestStep:
     def test_k2_gives_p3_exactly(self):
         spec = step(base_spectrum(path_graph(2)), analyze(path_graph(2)))
-        assert [(v.exact, m) for v, m in spec.entries] == [(0, 1), (1, 1), (2, 1)]
+        assert pairs(spec, "exact") == [(0, 1), (1, 1), (2, 1)]
 
     def test_c4_matches_c8_closed_form(self):
         spec = step(base_spectrum(cycle_graph(4)), analyze(cycle_graph(4)))
@@ -214,6 +250,32 @@ class TestSpectrumAt:
         with pytest.raises(ValueError):
             spectrum_at(complete_graph(4), -1)
 
+    def test_level_beyond_the_path_bits_is_refused_up_front(self, monkeypatch):
+        # a path of 64 branch choices does not fit the uint64 path field
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("base_spectrum ran before the level guard")
+
+        monkeypatch.setattr(spectrum_module, "base_spectrum", no_eigensolve)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="level 64"):
+                spectrum_at(path_graph(2), 64, entry_cap=10**30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_k4_level_18_structure(self):
+        # 1,572,862 eigenvalues in 524,289 entries; no timing gate
+        spec = spectrum_at(complete_graph(4), 18)
+        expected = 4 + (2**18 - 1) * 6
+        assert spec.total_multiplicity == expected
+        assert spec.trace() == pytest.approx(expected, rel=1e-8)
+        assert (spec.zero_mult, spec.two_mult) == (1, 1)
+        mults = spec.entries["multiplicity"]
+        assert np.array_equal(mults, mults[::-1])
+        assert np.max(np.abs(spec.values + spec.values[::-1] - 2.0)) <= 1e-10
+
 
 SEEDS = [
     ("k4", complete_graph(4)),
@@ -237,30 +299,31 @@ class TestMultisetInvariants:
     def test_range_and_exact_constants(self, name, g):
         for n in range(1, 4):
             spec = spectrum_at(g, n)
-            assert all(0.0 <= v.cached_value <= 2.0 for v, _ in spec.entries)
+            assert all(0.0 <= v <= 2.0 for v in spec.values.tolist())
             assert spec.zero_mult == 1
             assert spec.two_mult == 1
 
     def test_lifted_values_invert_to_their_source(self, name, g):
         meta = analyze(g)
         prev = spectrum_at(g, 1)
-        for value, _ in prev.entries:
-            if value.exact == 2:
-                continue
-            upper, lower = value.children()
-            assert parent_value(upper.cached_value) == pytest.approx(
-                value.cached_value, abs=1e-10
-            )
-            assert parent_value(lower.cached_value) == pytest.approx(
-                value.cached_value, abs=1e-10
-            )
+        sources = lineage(prev)
+        lifted = step(prev, meta)
+        numeric = lifted.entries["exact"] == -1
+        assert numeric.sum() == 2 * np.isin(prev.entries["exact"], (-1, 1)).sum()
+        for base, path, value in zip(
+            lifted.entries["base"][numeric].tolist(),
+            np.array(lifted.paths())[numeric].tolist(),
+            lifted.values[numeric].tolist(),
+        ):
+            source = sources[(base, path[:-1])]
+            assert parent_value(value) == pytest.approx(source, abs=1e-10)
 
     def test_symmetry_about_one(self, name, g):
         for n in (1, 3):
             spec = spectrum_at(g, n)
-            for (v, m), (w, mw) in zip(spec.entries, reversed(spec.entries)):
+            for (v, m), (w, mw) in zip(pairs(spec), reversed(pairs(spec))):
                 assert m == mw
-                assert v.cached_value + w.cached_value == pytest.approx(2.0, abs=1e-10)
+                assert v + w == pytest.approx(2.0, abs=1e-10)
 
     def test_inserted_multiplicity_stabilizes(self, name, g):
         r = analyze(g).circuit_rank
