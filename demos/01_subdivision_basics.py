@@ -28,7 +28,8 @@ print()
 print("== one subdivision step ==")
 s1 = subdivide(k4)
 print(f"s(K4): {s1.vertex_count} vertices, {s1.edge_count} edges")
-print(f"original degrees kept: {s1.degrees[:4]}, inserted vertices: {s1.degrees[4:]}")
+print(f"original degrees kept: {tuple(s1.degrees[:4].tolist())}, "
+      f"inserted vertices: {tuple(s1.degrees[4:].tolist())}")
 print(f"bipartite now: {analyze(s1).is_bipartite}  (the triangles are gone)")
 
 print()

@@ -115,21 +115,19 @@ def spanning_trees_closed_form(nst0: int, r: int, n: int) -> int:
     return (2 ** (r * n)) * nst0
 
 
-def spanning_trees_oracle(g: Graph) -> int:
-    """Exact spanning-tree count via an integer matrix-tree determinant.
+def grounded_laplacian(g: Graph) -> np.ndarray:
+    """Combinatorial Laplacian (degree matrix minus adjacency) without vertex 0, as int64."""
+    lap = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    np.fill_diagonal(lap, g.degrees)
+    u, v = g.edges.T
+    lap[u, v] = -1
+    lap[v, u] = -1
+    return lap[1:, 1:]
 
-    Builds the combinatorial Laplacian (degree matrix minus adjacency), drops
-    the row and column of vertex 0, and takes the exact determinant.
-    """
-    n = g.vertex_count
-    lap = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    reduced = [row[1:] for row in lap[1:]]
-    return bareiss_determinant(reduced)
+
+def spanning_trees_oracle(g: Graph) -> int:
+    """Exact spanning-tree count: the determinant of the grounded Laplacian (matrix-tree)."""
+    return bareiss_determinant(grounded_laplacian(g).tolist())
 
 
 def kirchhoff_oracle(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> float:
@@ -145,16 +143,9 @@ def kirchhoff_oracle(g: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP) -> float:
     n = g.vertex_count
     if n > oracle_cap:
         raise ResourceLimitError(f"graph has {n} vertices, above the dense cap {oracle_cap}")
-    lap = np.zeros((n - 1, n - 1))
-    for u, v in g.edges:
-        for w in (u, v):
-            if w != 0:
-                lap[w - 1, w - 1] += 1.0
-        if u != 0 and v != 0:
-            lap[u - 1, v - 1] -= 1.0
-            lap[v - 1, u - 1] -= 1.0
+    lap = grounded_laplacian(g).astype(float)
     grounded = solve_linear(SymMatrix.from_dense(lap), np.eye(n - 1))
-    degrees = np.array(g.degrees, dtype=float)
+    degrees = g.degrees.astype(float)
     rest = degrees[1:]
     return float(degrees.sum() * (rest @ np.diag(grounded)) - rest @ grounded @ rest)
 
@@ -180,9 +171,10 @@ def kemeny_montecarlo(g: Graph, steps: int = 100_000, seed: int = 42) -> MonteCa
     """
     if steps < MIN_MC_TRIALS:
         raise ValueError(f"at least {MIN_MC_TRIALS} trials are required, got {steps}")
-    cumulative = np.cumsum(np.array(g.degrees, dtype=float))
+    cumulative = np.cumsum(g.degrees.astype(float))
     cumulative /= cumulative[-1]
-    neighbors = [np.array(adj) for adj in g.adjacency]
+    offsets, flat_neighbors = g.csr()
+    neighbors = np.split(flat_neighbors, offsets[1:-1])
     total = 0.0
     total_sq = 0.0
     for trial in range(steps):
@@ -253,7 +245,7 @@ def full_report(
     kf0 = kirchhoff_spectral(spectrum, e0)
     k0 = kemeny_spectral(spectrum)
     nst0 = spanning_trees_oracle(g)
-    seed_degrees = list(g.degrees)
+    seed_degrees = g.degrees.tolist()
 
     reports: list[InvariantReport] = []
     level_graph: Graph | None = g

@@ -53,12 +53,11 @@ class EigenResult:
 
 def normalized_laplacian(g: Graph) -> SymMatrix:
     """The matrix with 1 on the diagonal and -1/sqrt(d_i d_j) on each edge."""
-    n = g.vertex_count
-    a = np.eye(n)
-    for u, v in g.edges:
-        w = -1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
-        a[u, v] = w
-        a[v, u] = w
+    a = np.eye(g.vertex_count)
+    u, v = g.edges.T
+    w = -1.0 / np.sqrt((g.degrees[u] * g.degrees[v]).astype(float))
+    a[u, v] = w
+    a[v, u] = w
     return SymMatrix.from_dense(a)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,47 @@ from subspectra.errors import CrossCheckError
 
 K4_TEXT = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 C4_TEXT = "0 1\n1 2\n2 3\n3 0\n"
+# a fixed 24-vertex, 31-edge graph (a random tree plus 8 extra edges)
+G24_TEXT = "".join(
+    f"{pair.replace('-', ' ')}\n"
+    for pair in (
+        "0-1 0-2 0-6 0-8 0-15 0-21 0-23 1-3 2-4 3-4 3-12 3-13 4-5 4-7 4-10 4-18 4-20 "
+        "7-9 7-15 7-19 8-11 8-22 10-15 11-14 12-16 12-17 12-21 12-22 15-16 16-21 19-22"
+    ).split()
+)
+G24_VERIFY_MC_JSON = (
+    '[{"check": "spectrum_vs_dense", "level": 0, "max_deviation": 5.55e-16, "ok": true}, '
+    '{"check": "spectrum_vs_dense", "level": 1, "max_deviation": 2.22e-15, "ok": true}, '
+    '{"check": "spectrum_vs_dense", "level": 2, "max_deviation": 4e-15, "ok": true}, '
+    '{"check": "invariant_routes", "level": 2, "ok": true}, '
+    '{"check": "kemeny_montecarlo", "level": 0, "estimate": 35.6444, '
+    '"expected": 34.9225559051, "std_error": 0.531, "ok": true}]\n'
+)
+
+
+def _reference_subdivision(text: str, n: int) -> str:
+    """The documented output of `subdivide --n n`, computed from the rules alone.
+
+    Ids that are not already 0..N-1 are compacted in order of first
+    appearance; the midpoint of the k-th sorted edge gets id N + k; edges
+    are printed as sorted (min, max) pairs.
+    """
+    pairs = [tuple(int(x) for x in line.split()) for line in text.splitlines()]
+    first_seen: dict[int, int] = {}
+    for pair in pairs:
+        for vertex in pair:
+            first_seen.setdefault(vertex, len(first_seen))
+    dense = set(first_seen) == set(range(len(first_seen)))
+    label = (lambda x: x) if dense else first_seen.__getitem__
+    edges = sorted(tuple(sorted((label(u), label(v)))) for u, v in pairs)
+    count = len(first_seen)
+    for _ in range(n):
+        halves = []
+        for k, (u, v) in enumerate(edges):
+            halves += [(u, count + k), (v, count + k)]
+        count += len(edges)
+        edges = sorted(halves)
+    return "".join(f"{u} {v}\n" for u, v in edges)
 
 
 @pytest.fixture
@@ -89,6 +131,23 @@ class TestSubdivideCommand:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 8
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_documented_rules(self, n, tmp_path, capsys):
+        # sparse ids, shuffled lines, random orientation: a tree plus extras
+        rng = random.Random(20)
+        ids = rng.sample(range(1000), 12)
+        pairs = {(rng.randrange(i), i) for i in range(1, 12)}
+        while len(pairs) < 18:
+            u, v = sorted(rng.sample(range(12), 2))
+            pairs.add((u, v))
+        lines = [(ids[u], ids[v]) if rng.random() < 0.5 else (ids[v], ids[u]) for u, v in pairs]
+        rng.shuffle(lines)
+        text = "".join(f"{u} {v}\n" for u, v in lines)
+        path = tmp_path / "sparse.edges"
+        path.write_text(text)
+        assert main(["subdivide", "--n", str(n), str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == _reference_subdivision(text, n)
+
 
 class TestVerifyCommand:
     def test_c4_passes(self, c4_path, capsys):
@@ -103,6 +162,12 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         checks = json.loads(capsys.readouterr().out)
         assert any(check["check"] == "kemeny_montecarlo" for check in checks)
+
+    def test_monte_carlo_json_pinned(self, tmp_path, capsys):
+        path = tmp_path / "g24.edges"
+        path.write_text(G24_TEXT)
+        assert main(["verify", "--mc", "--n", "2", "--mc-steps", "10000", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == G24_VERIFY_MC_JSON
 
     def test_cross_check_failure_exits_two(self, c4_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

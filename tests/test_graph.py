@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from subspectra import graph as graph_module
 from subspectra.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -38,7 +42,7 @@ class TestParseEdgeList:
         g = parse_edge_list("0 1\n1 2\n2 0")
         assert g.vertex_count == 3
         assert g.edge_count == 3
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_single_edge(self):
         g = parse_edge_list("0 1")
@@ -57,12 +61,12 @@ class TestParseEdgeList:
     def test_sparse_ids_compacted_by_first_appearance(self):
         g = parse_edge_list("5 7\n7 9\n9 5")
         assert g.vertex_count == 3
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_dense_ids_kept_verbatim(self):
         # appearance order is 1, 2, 0 but the ids already cover 0..2
         g = parse_edge_list("1 2\n0 2")
-        assert g.edges == ((0, 2), (1, 2))
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
 
     def test_self_loop_reports_line(self):
         with pytest.raises(SelfLoopError) as info:
@@ -82,6 +86,14 @@ class TestParseEdgeList:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             parse_edge_list("0 1\n2 3\n")
+
+    # each token is one Python's int() accepts; "1 2\n2 <token>" would
+    # otherwise parse as a path on three vertices
+    @pytest.mark.parametrize("token", ["1_0", "+3", "-0", "\u0663", "\uff13", "3\u0663"])
+    def test_id_must_be_ascii_decimal(self, token):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"1 2\n2 {token}\n")
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("text", ["", "# nothing here\n"])
     def test_no_edges(self, text):
@@ -108,15 +120,22 @@ class TestFromEdges:
 
 
 class TestSubdivide:
+    def test_arrays_are_read_only_int64(self):
+        g = subdivide(complete_graph(4))
+        for array in (g.edges, g.degrees):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+        assert g.edges.shape == (12, 2)
+
     def test_k2_gives_p3(self):
         g = subdivide(path_graph(2))
-        assert g.edges == ((0, 2), (1, 2))
-        assert g.degrees == (1, 1, 2)
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
+        assert g.degrees.tolist() == [1, 1, 2]
 
     def test_k4_counts_and_degrees(self):
         g = subdivide(complete_graph(4))
         assert (g.vertex_count, g.edge_count) == (10, 12)
-        assert g.degrees[:4] == (3, 3, 3, 3)
+        assert g.degrees[:4].tolist() == [3, 3, 3, 3]
         assert all(d == 2 for d in g.degrees[4:])
 
     def test_c4_gives_c8(self):
@@ -128,7 +147,7 @@ class TestSubdivide:
     def test_midpoints_follow_sorted_edge_order(self):
         g = subdivide(complete_graph(3))
         # edges (0,1), (0,2), (1,2) get midpoints 3, 4, 5
-        assert g.edges == ((0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5))
+        assert g.edges.tolist() == [[0, 3], [0, 4], [1, 3], [1, 5], [2, 4], [2, 5]]
 
 
 class TestIterateSubdivide:
@@ -161,6 +180,22 @@ class TestIterateSubdivide:
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
             iterate_subdivide(complete_graph(4), 5, vertex_cap=50)
+
+    def test_vertex_cap_checked_before_allocating(self, monkeypatch):
+        k4 = complete_graph(4)
+
+        def fail(g):
+            raise AssertionError("subdivide ran past the vertex cap")
+
+        monkeypatch.setattr(graph_module, "subdivide", fail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="level 40"):
+                iterate_subdivide(k4, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestAnalyze:
@@ -210,5 +245,25 @@ def test_subdivision_structure(g, n):
     after = analyze(after_graph)
     assert after.circuit_rank == before.circuit_rank
     assert after.is_bipartite  # subdivision destroys odd cycles
-    assert after_graph.degrees[: g.vertex_count] == g.degrees
+    assert after_graph.degrees[: g.vertex_count].tolist() == g.degrees.tolist()
     assert sum(after_graph.degrees) == 2 * after_graph.edge_count
+
+
+def _midpoint_rule(g: Graph) -> Graph:
+    """One subdivision through the validating constructor: edge k's midpoint is N + k."""
+    n = g.vertex_count
+    pairs = []
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        pairs += [(u, n + k), (v, n + k)]
+    return Graph.from_edges(n + g.edge_count, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.integers(1, 3))
+def test_subdivide_equals_validated_midpoint_rule(g, levels):
+    for _ in range(levels):
+        expected = _midpoint_rule(g)
+        g = subdivide(g)
+        assert g == expected
+        assert g.edges.tolist() == expected.edges.tolist()
+        assert g.degrees.tolist() == expected.degrees.tolist()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from subspectra.errors import CrossCheckError, OverflowPolicyError, ResourceLimi
 from subspectra.graph import analyze, iterate_subdivide, subdivide
 from subspectra.invariants import (
     InvariantReport,
+    grounded_laplacian,
     Route,
     full_report,
     kemeny_closed_form,
@@ -26,6 +28,7 @@ from subspectra.invariants import (
     spanning_trees_oracle,
     spanning_trees_spectral,
 )
+from subspectra.linalg import SymMatrix, normalized_laplacian
 from subspectra.spectrum import Spectrum, base_spectrum, spectrum_at
 
 CORPUS = small_corpus()
@@ -51,6 +54,55 @@ def _pinv_kirchhoff(g) -> float:
     degrees = np.array(g.degrees, dtype=float)
     i, j = np.triu_indices(n, 1)
     return float(np.sum(degrees[i] * degrees[j] * resistance[i, j]))
+
+
+def _loop_kirchhoff_laplacian(g) -> np.ndarray:
+    """The resistance oracle's grounded Laplacian as the per-edge loop once built it."""
+    n = g.vertex_count
+    lap = np.zeros((n - 1, n - 1))
+    for u, v in g.edges.tolist():
+        for w in (u, v):
+            if w != 0:
+                lap[w - 1, w - 1] += 1.0
+        if u != 0 and v != 0:
+            lap[u - 1, v - 1] -= 1.0
+            lap[v - 1, u - 1] -= 1.0
+    return lap
+
+
+def _loop_tree_laplacian(g) -> list[list[int]]:
+    """The matrix-tree oracle's reduced Laplacian as the per-edge loop once built it."""
+    n = g.vertex_count
+    lap = [[0] * n for _ in range(n)]
+    for u, v in g.edges.tolist():
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    return [row[1:] for row in lap[1:]]
+
+
+def _loop_normalized_laplacian(g) -> np.ndarray:
+    """normalized_laplacian's matrix as the per-edge loop once built it."""
+    degrees = g.degrees.tolist()
+    a = np.eye(g.vertex_count)
+    for u, v in g.edges.tolist():
+        w = -1.0 / math.sqrt(degrees[u] * degrees[v])
+        a[u, v] = w
+        a[v, u] = w
+    return SymMatrix.from_dense(a).entries
+
+
+@pytest.mark.parametrize("g", [g for _, g in CORPUS], ids=CORPUS_IDS)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_array_built_matrices_match_edge_loops(g, n):
+    lifted = iterate_subdivide(g, n)
+    normalized = normalized_laplacian(lifted).entries
+    assert normalized.dtype == np.float64
+    assert np.array_equal(normalized, _loop_normalized_laplacian(lifted))
+    grounded = grounded_laplacian(lifted)
+    assert np.array_equal(grounded.astype(float), _loop_kirchhoff_laplacian(lifted))
+    assert grounded.tolist() == _loop_tree_laplacian(lifted)
 
 
 def _k4_kemeny_exact(n: int) -> Fraction:
@@ -235,6 +287,12 @@ class TestKemenyMonteCarlo:
     def test_minimum_trials_enforced(self):
         with pytest.raises(ValueError):
             kemeny_montecarlo(path_graph(2), steps=9_999)
+
+    def test_estimate_pinned_on_subdivided_k4(self):
+        # recorded from the tuple-backed graph: each vertex's neighbors must
+        # stay in ascending order for the same Philox draws to take the same hops
+        estimate = kemeny_montecarlo(iterate_subdivide(complete_graph(4), 1), steps=10_000, seed=42)
+        assert (estimate.mean, estimate.std_error) == (11.3996, 0.12925711865995013)
 
 
 class TestInvariantReport:

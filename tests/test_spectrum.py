@@ -152,8 +152,7 @@ class TestBaseSpectrum:
         # two disjoint triangles through the unvalidated constructor:
         # the eigenvalue 0 comes out twice
         edges = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
-        adjacency = ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4))
-        g = Graph(6, edges, adjacency, (2,) * 6)
+        g = Graph(6, edges, (2,) * 6)
         with pytest.raises(SpectrumStructureError, match="multiplicity 2"):
             base_spectrum(g)
         assert issubclass(SpectrumStructureError, SubspectraError)
